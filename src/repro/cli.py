@@ -936,6 +936,9 @@ def _cmd_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .dtw.kernels import available_backends
+
+    backends = available_backends()  # default first
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Query by humming with warping indexes (SIGMOD 2003)",
@@ -1018,9 +1021,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--stats", action="store_true",
                          help="answer via the batched filter cascade and "
                               "print per-stage pruning counters")
-    p_query.add_argument("--dtw-backend", choices=("vectorized", "scalar"),
+    p_query.add_argument("--dtw-backend", choices=backends,
                          help="DTW kernel for exact refinement "
-                              "(default: vectorized)")
+                              f"(default: {backends[0]})")
     p_query.add_argument("--workers", type=int,
                          help="thread-pool size for multi-hum batches "
                               "(default: one per CPU core)")
@@ -1315,8 +1318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf_replay.add_argument("--index", required=True,
                                help="saved index to replay against")
     p_perf_replay.add_argument("--backends", nargs="+",
-                               choices=("vectorized", "scalar"),
-                               default=["vectorized", "scalar"])
+                               choices=backends, default=list(backends))
     p_perf_replay.add_argument("--modes", nargs="+",
                                choices=("serial", "many"),
                                default=["serial", "many"])

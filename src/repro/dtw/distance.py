@@ -17,8 +17,8 @@ the paper's ``D^2`` recurrences.
 
 The banded dynamic program itself lives in :mod:`repro.dtw.kernels`
 behind a backend registry (``"scalar"`` reference loop /
-``"vectorized"`` wavefront, the default); every function here takes a
-``backend=`` name.  Input validation and float64 conversion happen
+``"vectorized"`` NumPy wavefront / ``"compiled"`` C loop, the default
+wherever it builds); every function here takes a ``backend=`` name.  Input validation and float64 conversion happen
 once in these wrappers — use :func:`ldtw_refiner` when refining many
 candidates against one query so the per-query preparation is also paid
 once.
@@ -85,7 +85,7 @@ def dtw_distance(
         admits with modifications.
     backend:
         DTW kernel backend name (default: the registry default,
-        ``"vectorized"``).
+        ``DEFAULT_BACKEND``).
     """
     manhattan = _check_metric(metric)
     xa = as_series(x)
@@ -138,16 +138,7 @@ def ldtw_refiner(
         raise ValueError(f"band half-width must be >= 0, got {k}")
     manhattan = _check_metric(metric)
     qa = as_series(query)
-    kernel = get_kernel(backend)
-    if kernel_stats is None:
-        prepared = kernel.prepare(qa, k, manhattan=manhattan)
-    else:
-        try:
-            prepared = kernel.prepare(qa, k, manhattan=manhattan,
-                                      stats=kernel_stats)
-        except TypeError:
-            # Third-party kernel predating the stats capability.
-            prepared = kernel.prepare(qa, k, manhattan=manhattan)
+    prepared = get_kernel(backend)._prepare(qa, k, manhattan, kernel_stats)
 
     def refine(y, upper_bound: float | None = None) -> float:
         ya = y if isinstance(y, np.ndarray) and y.dtype == np.float64 \
@@ -167,10 +158,11 @@ def ldtw_distance_batch(
 
     All candidates must share the query's length (the situation after
     UTW normalisation).  The computation is delegated to the selected
-    kernel backend's batch path; the default ``"vectorized"`` backend
-    sweeps every candidate's banded DP simultaneously as anti-diagonal
-    wavefronts — one to two orders of magnitude faster than per-pair
-    scalar calls for databases of thousands of series.
+    kernel backend's batch path — one foreign call for the default
+    ``"compiled"`` backend, a simultaneous anti-diagonal wavefront over
+    every candidate for ``"vectorized"`` — one to two orders of
+    magnitude faster than per-pair scalar calls for databases of
+    thousands of series.
 
     Parameters
     ----------
@@ -188,7 +180,7 @@ def ldtw_distance_batch(
         whose distance provably exceeds their cutoff come back as
         ``inf`` (sound for filtering, as in :func:`ldtw_distance`).
     backend:
-        DTW kernel backend name (default ``"vectorized"``).
+        DTW kernel backend name (default ``DEFAULT_BACKEND``).
     kernel_stats:
         Optional :class:`repro.dtw.kernels.KernelStats` recorder; the
         built-in kernels accumulate cells computed, rows processed,

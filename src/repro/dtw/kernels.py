@@ -13,7 +13,7 @@ paths) can select one by name:
     Simple, obviously correct, and the parity baseline for everything
     else.
 
-``"vectorized"`` (default)
+``"vectorized"``
     An anti-diagonal *wavefront* sweep: all cells on one anti-diagonal
     ``i + j = d`` are independent given diagonals ``d-1`` and ``d-2``,
     so each diagonal is one batch of NumPy operations instead of a
@@ -28,6 +28,15 @@ paths) can select one by name:
     advances ``i + j`` by 1 or 2, so it must touch one of any two
     consecutive anti-diagonals).
 
+``"compiled"`` (default wherever it builds)
+    The row-by-row band DP in C (``_ldtw.c``), built on first import
+    with the system C compiler and loaded through :mod:`ctypes` (see
+    :mod:`repro.dtw._native`).  One C call runs a whole batch, with
+    per-candidate row-granularity abandoning and the interpreter lock
+    released; results are bitwise equal to ``"vectorized"``.  Without
+    a compiler, or when the build or load fails, it is not registered
+    and ``"vectorized"`` stays the default.
+
 All kernels work in **accumulated-cost space**: squared differences
 for the Euclidean metric (the square root is the caller's job, as in
 the paper's ``D^2`` recurrences) and absolute differences for
@@ -39,20 +48,26 @@ so repeated refinement against one query pays it once.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import warnings
 from collections.abc import Callable
 
 import numpy as np
+
+from ._native import load_ldtw
 
 __all__ = [
     "DTWKernel",
     "KernelStats",
     "ScalarDTWKernel",
     "VectorizedDTWKernel",
+    "CompiledDTWKernel",
     "DEFAULT_BACKEND",
     "available_backends",
     "get_kernel",
     "register_kernel",
+    "resolve_backend",
     "banded_dtw_cost",
     "banded_dtw_cost_batch",
 ]
@@ -158,7 +173,17 @@ class DTWKernel:
         *stats*, when given, receives work counters; third-party
         kernels may ignore it (the built-in ones fill it in).
         """
-        return self.prepare(x, k, manhattan=manhattan)(y, bound_cost)
+        return self._prepare(x, k, manhattan, stats)(y, bound_cost)
+
+    def _prepare(self, x, k, manhattan, stats):
+        """:meth:`prepare`, passing *stats* only when given."""
+        if stats is None:
+            return self.prepare(x, k, manhattan=manhattan)
+        try:
+            return self.prepare(x, k, manhattan=manhattan, stats=stats)
+        except TypeError:
+            # Third-party kernel predating the stats capability.
+            return self.prepare(x, k, manhattan=manhattan)
 
     def prepare(
         self, x: np.ndarray, k: int, *, manhattan: bool = False,
@@ -187,19 +212,36 @@ class DTWKernel:
         """
         m = candidates.shape[0]
         bounds = _broadcast_bounds(bound_costs, m)
-        if stats is None:
-            refine = self.prepare(x, k, manhattan=manhattan)
-        else:
-            try:
-                refine = self.prepare(x, k, manhattan=manhattan,
-                                      stats=stats)
-            except TypeError:
-                # Third-party kernel predating the stats capability.
-                refine = self.prepare(x, k, manhattan=manhattan)
+        refine = self._prepare(x, k, manhattan, stats)
         out = np.empty(m)
         for row in range(m):
             out[row] = refine(candidates[row], bounds[row])
         return out
+
+
+def _pointwise_cost(
+    x: np.ndarray, y: np.ndarray, bound_cost: float, manhattan: bool
+) -> float:
+    """``k == 0``: the band is the diagonal, so the DP is a plain sum."""
+    diff = x - y
+    total = (float(np.abs(diff).sum()) if manhattan
+             else float(np.dot(diff, diff)))
+    return _INF if total > bound_cost else total
+
+
+def _pointwise_costs(
+    x: np.ndarray, candidates: np.ndarray, bounds: np.ndarray | None,
+    manhattan: bool,
+) -> np.ndarray:
+    """Batched :func:`_pointwise_cost`; *bounds* ``None`` = no cutoff."""
+    diff = candidates - x
+    if manhattan:
+        totals = np.abs(diff).sum(axis=1)
+    else:
+        totals = np.einsum("ij,ij->i", diff, diff)
+    if bounds is not None:
+        totals = np.where(totals > bounds, _INF, totals)
+    return totals
 
 
 def _broadcast_bounds(
@@ -240,21 +282,6 @@ class ScalarDTWKernel(DTWKernel):
                                        manhattan, stats)
 
         return refine
-
-    def cost(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        k: int,
-        bound_cost: float = _INF,
-        *,
-        manhattan: bool = False,
-        stats: KernelStats | None = None,
-    ) -> float:
-        """Accumulated banded-DTW cost of one pair; ``inf`` if pruned."""
-        return self.prepare(x, k, manhattan=manhattan, stats=stats)(
-            y, bound_cost
-        )
 
 
 def _scalar_banded_cost(
@@ -363,10 +390,7 @@ class VectorizedDTWKernel(DTWKernel):
         if k == 0:
             if stats is not None:
                 stats.cells += n
-            diff = x - y
-            total = (float(np.abs(diff).sum()) if manhattan
-                     else float(np.dot(diff, diff)))
-            return _INF if total > bound_cost else total
+            return _pointwise_cost(x, y, bound_cost, manhattan)
 
         inf = _INF
         cells = 0
@@ -435,14 +459,7 @@ class VectorizedDTWKernel(DTWKernel):
             if stats is not None:
                 stats.calls += 1
                 stats.cells += total * n
-            diff = candidates - x
-            if manhattan:
-                totals = np.abs(diff).sum(axis=1)
-            else:
-                totals = np.einsum("ij,ij->i", diff, diff)
-            if bounds is not None:
-                totals = np.where(totals > bounds, _INF, totals)
-            return totals
+            return _pointwise_costs(x, candidates, bounds, manhattan)
 
         block = max(64, _BATCH_BLOCK_BYTES // ((n + 1) * 8))
         out = np.empty(total)
@@ -529,12 +546,109 @@ class VectorizedDTWKernel(DTWKernel):
         return out
 
 
+class CompiledDTWKernel(DTWKernel):
+    """The row-by-row band DP in C, one foreign call per batch.
+
+    *ldtw* is the ``repro_ldtw_batch`` entry point from
+    :func:`repro.dtw._native.load_ldtw`.  The C loop abandons a
+    candidate once a whole row exceeds its cutoff (as the scalar
+    kernel does) and otherwise returns its finite cost, even above the
+    cutoff.  ``k == 0`` uses the same closed form as
+    ``"vectorized"``, so the two backends agree bit for bit on every
+    row neither abandons.  ctypes releases the interpreter lock for
+    the duration of each call; the C side allocates its own work rows,
+    so a prepared refiner may be shared between threads.
+    """
+
+    name = "compiled"
+
+    def __init__(self, ldtw) -> None:
+        self._ldtw = ldtw
+
+    def _run(self, x_ptr, n, y_ptr, count, m, k, bound, bounds_ptr,
+             manhattan, out_ptr, stats) -> None:
+        """One foreign call over *count* rows of length *m* at *y_ptr*;
+        the pointers come from contiguous float64 arrays the caller
+        keeps alive across the call."""
+        cells = self._ldtw(x_ptr, n, y_ptr, count, m, k, bound,
+                           bounds_ptr, manhattan, out_ptr)
+        if cells < 0:
+            raise MemoryError("banded DTW work rows could not be allocated")
+        if stats is not None:
+            stats.calls += 1
+            stats.rows += count
+            stats.cells += cells
+
+    def prepare(
+        self, x: np.ndarray, k: int, *, manhattan: bool = False,
+        stats: KernelStats | None = None,
+    ) -> Callable[[np.ndarray, float], float]:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        x_ptr = x.ctypes.data
+        run = self._run
+
+        def refine(y: np.ndarray, bound_cost: float = _INF) -> float:
+            y = np.ascontiguousarray(y, dtype=np.float64)
+            if k == 0 and y.size == x.size:
+                if stats is not None:
+                    stats.calls += 1
+                    stats.rows += 1
+                    stats.cells += x.size
+                return _pointwise_cost(x, y, bound_cost, manhattan)
+            out = ctypes.c_double()
+            run(x_ptr, x.size, y.ctypes.data, 1, y.size, k, bound_cost,
+                None, manhattan, ctypes.byref(out), stats)
+            return out.value
+
+        return refine
+
+    def cost_batch(
+        self,
+        x: np.ndarray,
+        candidates: np.ndarray,
+        k: int,
+        bound_costs: np.ndarray | float | None = None,
+        *,
+        manhattan: bool = False,
+        stats: KernelStats | None = None,
+    ) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        candidates = np.ascontiguousarray(candidates, dtype=np.float64)
+        if candidates.ndim != 2:
+            raise ValueError(
+                f"candidates must be 2-D, got shape {candidates.shape}"
+            )
+        total, m = candidates.shape
+        if total == 0:
+            return np.zeros(0)
+        if k == 0 and m == x.size:
+            bounds = None if bound_costs is None else _broadcast_bounds(
+                bound_costs, total
+            )
+            if stats is not None:
+                stats.calls += 1
+                stats.rows += total
+                stats.cells += total * m
+            return _pointwise_costs(x, candidates, bounds, manhattan)
+        bound = _INF
+        bounds_ptr = None
+        if bound_costs is not None:
+            if np.ndim(bound_costs) == 0:
+                bound = float(bound_costs)
+            else:
+                bounds = np.ascontiguousarray(
+                    _broadcast_bounds(bound_costs, total)
+                )
+                bounds_ptr = bounds.ctypes.data
+        out = np.empty(total)
+        self._run(x.ctypes.data, x.size, candidates.ctypes.data, total, m,
+                  k, bound, bounds_ptr, manhattan, out.ctypes.data, stats)
+        return out
+
+
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-
-#: The backend used when callers pass ``backend=None``.
-DEFAULT_BACKEND = "vectorized"
 
 _REGISTRY: dict[str, DTWKernel] = {}
 
@@ -571,8 +685,34 @@ def available_backends() -> tuple[str, ...]:
     return tuple(names)
 
 
+def resolve_backend(backend: str | None) -> str | None:
+    """*backend* if it is registered here, else the default, with a
+    warning.
+
+    For configurations written on another host — a saved index or a
+    shard's engine spec may name ``"compiled"`` where no compiler was
+    found.  Backends agree on every answer, so falling back changes
+    speed only.  Constructors still reject unknown names.
+    """
+    if backend is None or backend in _REGISTRY:
+        return backend
+    warnings.warn(
+        f"DTW backend {backend!r} is not available on this host; "
+        f"using {DEFAULT_BACKEND!r}",
+        RuntimeWarning, stacklevel=2,
+    )
+    return DEFAULT_BACKEND
+
+
 register_kernel(ScalarDTWKernel())
 register_kernel(VectorizedDTWKernel())
+_ldtw = load_ldtw()
+if _ldtw is not None:
+    register_kernel(CompiledDTWKernel(_ldtw))
+
+#: The backend used when callers pass ``backend=None``: ``"compiled"``
+#: wherever the C kernel built, else ``"vectorized"``.
+DEFAULT_BACKEND = "compiled" if _ldtw is not None else "vectorized"
 
 
 # ----------------------------------------------------------------------

@@ -530,8 +530,9 @@ class QueryEngine:
         refine loop.
     dtw_backend:
         DTW kernel backend for exact refinement (see
-        :mod:`repro.dtw.kernels`): ``"vectorized"`` (default) or
-        ``"scalar"``; both return identical results.
+        :mod:`repro.dtw.kernels`), default ``DEFAULT_BACKEND``
+        (``"compiled"`` where it builds, else ``"vectorized"``); every
+        backend returns identical results.
     refine_chunk:
         How many candidates the k-NN best-first loop refines per
         kernel call.  Larger chunks amortise dispatch overhead via the

@@ -73,8 +73,8 @@ class WarpingIndex:
         built accordingly).
     dtw_backend:
         DTW kernel backend used for exact refinement (see
-        :mod:`repro.dtw.kernels`): ``"vectorized"`` (default) or
-        ``"scalar"``.  A pure serving knob — results are identical —
+        :mod:`repro.dtw.kernels`), default ``DEFAULT_BACKEND``.  A
+        pure serving knob — results are identical —
         and reassignable after construction (``index.dtw_backend =
         "scalar"``).
     workers:

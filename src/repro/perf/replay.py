@@ -15,8 +15,8 @@ serial (``range_search``/``knn``) and batched-parallel
 (``range_search_many``/``knn_many``) serving paths.
 
 A parity failure therefore isolates the culprit precisely: recorded ≠
-serial-vectorized is an engine change, vectorized ≠ scalar is a kernel
-change, serial ≠ ``*_many`` is a concurrency bug.
+serial on the default backend is an engine change, one backend ≠
+another is a kernel change, serial ≠ ``*_many`` is a concurrency bug.
 
 Capture is wired through
 ``Observability.to_files(workload_out=...)`` — the CLI's
@@ -32,6 +32,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..dtw.kernels import available_backends
 
 __all__ = [
     "WORKLOAD_SCHEMA",
@@ -205,7 +207,7 @@ def replay_workload(
     engine_factory,
     records: list[dict],
     *,
-    backends=("vectorized", "scalar"),
+    backends=None,
     modes=("serial", "many"),
     workers: int | None = None,
     atol: float = 1e-9,
@@ -219,12 +221,15 @@ def replay_workload(
     ``range_search``/``knn`` and ``many`` groups records with equal
     parameters through ``range_search_many``/``knn_many`` (*workers*
     threads) — so the parallel serving path is exercised against the
-    same ground truth.  Every record contributes one
-    :class:`ReplayCheck` per (backend, mode).
+    same ground truth.  *backends* defaults to every registered one.
+    Every record contributes one :class:`ReplayCheck` per
+    (backend, mode).
     """
     report = ReplayReport()
     if not records:
         return report
+    if backends is None:
+        backends = available_backends()
     for backend in backends:
         engine = engine_factory(backend)
         if "serial" in modes:

@@ -25,6 +25,7 @@ from .core.envelope_transforms import (
 )
 from .core.normal_form import NormalForm
 from .core.transforms import LinearTransform
+from .dtw.kernels import resolve_backend
 from .index.gemini import WarpingIndex
 from .index.subsequence import SubsequenceIndex
 from .music.melody import Melody
@@ -137,7 +138,9 @@ def load_index(path: str | os.PathLike) -> WarpingIndex:
         ids=ids,
         # Older files (same format version) predate the serving knobs;
         # .get keeps them loadable with the constructor defaults.
-        dtw_backend=config.get("dtw_backend"),
+        # A file saved where the compiled kernel built may name it on
+        # a host where it did not.
+        dtw_backend=resolve_backend(config.get("dtw_backend")),
         workers=config.get("workers"),
         shards=config.get("shards"),
     )

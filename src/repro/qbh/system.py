@@ -52,7 +52,7 @@ class QueryByHummingSystem:
     env_transform:
         Optional custom envelope transform (defaults to New_PAA).
     dtw_backend:
-        DTW kernel backend for exact refinement (``"vectorized"``
+        DTW kernel backend for exact refinement (default the registry
         default, ``"scalar"`` reference) — a serving knob, results
         are identical.
     obs:

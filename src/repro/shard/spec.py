@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dtw.kernels import resolve_backend
 from ..engine.cascade import DEFAULT_STAGES, QueryEngine
 
 __all__ = ["EngineSpec"]
@@ -69,7 +70,9 @@ class EngineSpec:
             ids=list(self.ids),
             metric=self.metric,
             batch_refine_threshold=self.batch_refine_threshold,
-            dtw_backend=self.dtw_backend,
+            # The parent validated the name against its own registry;
+            # a worker whose compiled kernel failed to load falls back.
+            dtw_backend=resolve_backend(self.dtw_backend),
             refine_chunk=self.refine_chunk,
             # One thread per worker: the shard pool itself is the
             # parallelism, and in-worker threads would only fight the

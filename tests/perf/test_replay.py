@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.generators import random_walks
+from repro.dtw.kernels import DEFAULT_BACKEND, available_backends
 from repro.engine import QueryEngine
 from repro.obs import Observability
 from repro.perf import WorkloadRecorder, load_workload, replay_workload
@@ -43,7 +44,7 @@ def test_capture_schema_and_stable_ids(workload_file, corpus):
         assert record["schema"] == 1
         assert record["kind"] in ("range", "knn")
         assert len(record["query_id"]) == 16
-        assert record["backend"] == "vectorized"
+        assert record["backend"] == DEFAULT_BACKEND
         assert record["band"] == 4
         assert [tuple(pair) for pair in record["results"]] == [
             (item, pytest.approx(dist)) for item, dist in want
@@ -60,8 +61,12 @@ def test_replay_parity_across_backends_and_modes(workload_file, corpus):
         records, workers=2,
     )
     assert report.ok
-    # One check per record per (backend, mode).
-    assert len(report.checks) == len(records) * 4
+    # One check per record per (backend, mode), every registered
+    # backend by default.
+    assert {check.backend for check in report.checks} == set(
+        available_backends()
+    )
+    assert len(report.checks) == len(records) * 2 * len(available_backends())
     assert "PARITY OK" in report.summary()
 
 
