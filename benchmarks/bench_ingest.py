@@ -164,7 +164,7 @@ def test_streaming_build_query_and_swaps(benchmark, scale, tmp_path):
             for hum in hums:
                 outcome = service.knn(hum, 3)
                 assert outcome.ok, outcome
-                expected, _ = reference.cascade_knn_query(hum, 3)
+                expected, _ = reference.knn_query(hum, 3)
                 expected = tuple((i, float(d)) for i, d in expected)
                 if outcome.results != expected:
                     parity_mismatches += 1

@@ -3,8 +3,8 @@
 Unlike the experiment benches (one-shot, pedantic), these use
 pytest-benchmark's normal repeated-measurement mode to time the hot
 primitives: envelope computation, feature transforms, scalar vs batch
-DTW, index construction, and a single range query.  Useful to catch
-performance regressions when modifying the core.
+DTW, index construction, and a single (engine-backed) range query.
+Useful to catch performance regressions when modifying the core.
 """
 
 import numpy as np

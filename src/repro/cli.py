@@ -176,6 +176,18 @@ def _load_hum(path: str) -> np.ndarray:
     raise ValueError(f"unsupported hum input {path!r} (want .npy or .mid)")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (``-k``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _print_hits(results) -> None:
     for rank, (name, dist) in enumerate(results, start=1):
         print(f"{rank:3d}. {name}  (DTW distance {dist:.3f})")
@@ -234,11 +246,6 @@ def _cmd_query(args) -> int:
             from .shard import ShardRouter
 
             router = ShardRouter.from_index(index, shards=shards)
-        # The cascade engine is the instrumented path: stats flags need
-        # its counters, and observability needs its span tree.  The
-        # shard router only speaks cascade.
-        want_cascade = (args.stats or stats_json is not None
-                        or obs is not None or router is not None)
         if len(hums) > 1:
             # Batch serving: shard the hums across a thread pool (or
             # the worker processes) and answer each through the filter
@@ -249,7 +256,7 @@ def _cmd_query(args) -> int:
                     args.k,
                 )
             else:
-                per_hum, cascade = index.cascade_knn_query_many(
+                per_hum, cascade = index.knn_query_many(
                     hums, args.k, workers=args.workers
                 )
             print(f"db={len(index)}  hums={len(hums)}", file=info)
@@ -274,26 +281,17 @@ def _cmd_query(args) -> int:
                 _emit_stats_json(payload, stats_json, info)
             return 0
         hum = hums[0]
-        if want_cascade:
-            if router is not None:
-                results, cascade = router.knn(
-                    index.normal_form.apply(hum), args.k
-                )
-            else:
-                results, cascade = index.cascade_knn_query(hum, args.k)
-            if args.stats:
-                print(f"db={len(index)}  filter cascade:", file=info)
-                print(cascade.summary(), file=info)
-            else:
-                print(f"db={len(index)}  "
-                      f"pruned={cascade.pruned_total}  "
-                      f"refined={cascade.dtw_computations}", file=info)
+        if router is not None:
+            results, cascade = router.knn(index.normal_form.apply(hum), args.k)
         else:
-            cascade = None
-            results, stats = index.knn_query(hum, args.k)
-            print(f"db={len(index)}  candidates={stats.candidates}  "
-                  f"pages={stats.page_accesses}  "
-                  f"refined={stats.dtw_computations}", file=info)
+            results, cascade = index.knn_query(hum, args.k)
+        if args.stats:
+            print(f"db={len(index)}  filter cascade:", file=info)
+            print(cascade.summary(), file=info)
+        else:
+            print(f"db={len(index)}  "
+                  f"pruned={cascade.pruned_total}  "
+                  f"refined={cascade.dtw_computations}", file=info)
         if stats_json != "-":
             _print_hits(results)
         if stats_json is not None:
@@ -1017,10 +1015,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; several "
                               "hums are served as one parallel batch")
-    p_query.add_argument("-k", type=int, default=10)
+    p_query.add_argument("-k", type=_positive_int, default=10)
     p_query.add_argument("--stats", action="store_true",
-                         help="answer via the batched filter cascade and "
-                              "print per-stage pruning counters")
+                         help="print the filter cascade's per-stage "
+                              "pruning counters")
     p_query.add_argument("--dtw-backend", choices=backends,
                          help="DTW kernel for exact refinement "
                               f"(default: {backends[0]})")
@@ -1068,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--hum", required=True, nargs="+",
                          help=".npy pitch series or .mid melody; the "
                               "request mix cycles over all of them")
-    p_serve.add_argument("-k", type=int, default=10)
+    p_serve.add_argument("-k", type=_positive_int, default=10)
     p_serve.add_argument("--clients", type=int, default=8,
                          help="concurrent closed-loop clients (default: 8)")
     p_serve.add_argument("--repeat", type=int, default=4,
@@ -1143,7 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="popularity skew exponent "
                                     "(default: 1.3)")
     p_bench_serve.add_argument("--clients", type=int, default=8)
-    p_bench_serve.add_argument("-k", type=int, default=5)
+    p_bench_serve.add_argument("-k", type=_positive_int, default=5)
     p_bench_serve.add_argument("--epsilon", type=float, default=4.0)
     p_bench_serve.add_argument("--max-batch", type=int, default=8)
     p_bench_serve.add_argument("--linger-ms", type=float, default=2.0)
@@ -1179,7 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default=[0.25, 0.5, 1.0], metavar="S",
                            help="severity levels in [0, 1] "
                                 "(default: 0.25 0.5 1.0)")
-    p_quality.add_argument("-k", type=int, default=10,
+    p_quality.add_argument("-k", type=_positive_int, default=10,
                            help="top-k answers per query (default: 10)")
     p_quality.add_argument("--delta", type=float, default=0.1,
                            help="DTW warping-band width (default: 0.1)")

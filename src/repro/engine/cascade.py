@@ -523,22 +523,13 @@ class QueryEngine:
         Optional identifiers, default ``range(len(corpus))``.
     metric:
         ``"euclidean"`` (default) or ``"manhattan"``.
-    batch_refine_threshold:
-        Range queries with at least this many surviving candidates are
-        refined with one batched kernel call (per-candidate abandoning
-        against epsilon, same result set) instead of a per-candidate
-        refine loop.
     dtw_backend:
         DTW kernel backend for exact refinement (see
         :mod:`repro.dtw.kernels`), default ``DEFAULT_BACKEND``
         (``"compiled"`` where it builds, else ``"vectorized"``); every
-        backend returns identical results.
-    refine_chunk:
-        How many candidates the k-NN best-first loop refines per
-        kernel call.  Larger chunks amortise dispatch overhead via the
-        batched kernel but update the shrinking answer radius less
-        often.  Default: 32 for batch-capable backends, 1 for
-        ``"scalar"``.
+        backend returns identical results.  It also fixes
+        :attr:`refine_chunk`, how many candidates the k-NN best-first
+        loop refines per kernel call: 1 for ``"scalar"``, else 32.
     workers:
         Default thread count for :meth:`range_search_many` /
         :meth:`knn_many` (``None`` = one thread per CPU, capped by the
@@ -565,9 +556,7 @@ class QueryEngine:
         normal_form: NormalForm | None = None,
         ids: Sequence | None = None,
         metric: str = "euclidean",
-        batch_refine_threshold: int = 64,
         dtw_backend: str | None = None,
-        refine_chunk: int | None = None,
         workers: int | None = None,
         obs: Observability | None = None,
     ) -> None:
@@ -614,15 +603,12 @@ class QueryEngine:
         self.band = int(band)
         self.metric = metric
         self.stages = stages
-        self.batch_refine_threshold = int(batch_refine_threshold)
         backend = DEFAULT_BACKEND if dtw_backend is None else dtw_backend
         get_kernel(backend)  # validate the name now, not at query time
         self.dtw_backend = backend
-        if refine_chunk is None:
-            refine_chunk = 1 if backend == "scalar" else 32
-        if refine_chunk < 1:
-            raise ValueError(f"refine_chunk must be >= 1, got {refine_chunk}")
-        self.refine_chunk = int(refine_chunk)
+        # Larger chunks amortise kernel dispatch but update the k-NN
+        # answer radius less often; the scalar kernel has no batch form.
+        self.refine_chunk = 1 if backend == "scalar" else 32
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -749,11 +735,12 @@ class QueryEngine:
 
         Exact (no false negatives, no false positives): every filter
         stage is a lower bound, and survivors are refined with the
-        exact banded DTW.  Results are ``(id, distance)`` pairs sorted
-        by distance.
+        exact banded DTW in one batched kernel call, each row abandoned
+        once it exceeds *epsilon*.  Results are ``(id, distance)`` pairs
+        sorted by distance.
 
         *should_abort*, when given, is a zero-argument callable polled
-        before every stage and between refine chunks; the query raises
+        before every stage and before the refine; the query raises
         :class:`QueryAborted` as soon as it returns true (cooperative
         cancellation — the serving layer's deadline mechanism).
         """
@@ -790,7 +777,7 @@ class QueryEngine:
                     "kernel", backend=self.dtw_backend
                 ) as kspan:
                     before = _kernel_snapshot(ks)
-                    if alive.size >= self.batch_refine_threshold:
+                    if alive.size:
                         dists = ldtw_distance_batch(
                             ctx.q, self._data[alive], self.band,
                             metric=self.metric, upper_bound=epsilon,
@@ -801,17 +788,6 @@ class QueryEngine:
                             np.count_nonzero(np.isinf(dists))
                         )
                         for row, dist in zip(alive, dists):
-                            if dist <= epsilon:
-                                results.append((self.ids[row], float(dist)))
-                    else:
-                        refine = ctx.refine
-                        for row in alive:
-                            _maybe_abort(should_abort, "refine")
-                            dist = refine(self._data[row], epsilon)
-                            stats.dtw_computations += 1
-                            if math.isinf(dist):
-                                stats.dtw_abandoned += 1
-                                continue
                             if dist <= epsilon:
                                 results.append((self.ids[row], float(dist)))
                     _set_kernel_span(kspan, ks, before)

@@ -11,7 +11,6 @@ import numpy as np
 
 from ..core.envelope import envelope_distance, k_envelope, warping_width_to_k
 from ..core.envelope_transforms import (
-    KeoghPAAEnvelopeTransform,
     NaiveEnvelopeTransform,
     NewPAAEnvelopeTransform,
     SignSplitEnvelopeTransform,
@@ -86,7 +85,7 @@ def run_knn_ablation(db_size: int, n_queries: int, *,
         )
         refined = pages = 0
         for q in queries:
-            _, stats = index.knn_query(q, k_neighbours)
+            _, stats = index.multistep_knn(q, k_neighbours)
             refined += stats.dtw_computations
             pages += stats.page_accesses
         rows["width"].append(delta)
@@ -182,32 +181,33 @@ def run_cascade_ablation(db_size: int, n_queries: int, *,
 def run_second_filter_ablation(db_size: int, n_queries: int, *,
                                epsilon_factor: float = 0.5,
                                seed: int = 61) -> dict:
-    """How many candidates the §5.2 full-dimension LB filter removes."""
+    """How many candidates the §5.2 full-dimension LB filter removes.
+
+    Each query runs the feature-envelope stage followed by the
+    ``lb_keogh`` stage (the second filter); ``candidates`` are the
+    feature stage's survivors, ``pruned_by_LB`` what ``lb_keogh``
+    removes from them, and ``exact_dtw`` the refinements left.
+    """
     series = list(random_walks(db_size, _LENGTH, seed=seed))
     queries = random_walks(n_queries, _LENGTH, seed=seed + 1)
     radius = epsilon_factor * np.sqrt(_LENGTH)
     rows = {"width": [], "transform": [], "candidates": [],
             "pruned_by_LB": [], "exact_dtw": []}
     for delta in (0.05, 0.1, 0.2):
-        for name, env_t in (
-            ("New_PAA", NewPAAEnvelopeTransform(_LENGTH, _DIMS)),
-            ("Keogh_PAA", KeoghPAAEnvelopeTransform(_LENGTH, _DIMS)),
-        ):
-            index = WarpingIndex(
-                series, delta=delta, env_transform=env_t,
-                normal_form=NormalForm(length=_LENGTH),
-            )
-            cand = pruned = exact = 0
-            for q in queries:
-                _, stats = index.range_query(q, radius, second_filter=True)
-                cand += stats.candidates
-                pruned += stats.extra.get("second_filter_pruned", 0)
-                exact += stats.dtw_computations
+        index = WarpingIndex(series, delta=delta,
+                             normal_form=NormalForm(length=_LENGTH),
+                             n_features=_DIMS)
+        for name, stage in (("New_PAA", "new_paa"),
+                            ("Keogh_PAA", "keogh_paa")):
+            _, stats = index.range_query_many(
+                queries, radius, stages=(stage, "lb_keogh"))
+            feature, second = stats.stages
             rows["width"].append(delta)
             rows["transform"].append(name)
-            rows["candidates"].append(round(cand / n_queries, 1))
-            rows["pruned_by_LB"].append(round(pruned / n_queries, 1))
-            rows["exact_dtw"].append(round(exact / n_queries, 1))
+            rows["candidates"].append(round(feature.survivors / n_queries, 1))
+            rows["pruned_by_LB"].append(round(second.pruned / n_queries, 1))
+            rows["exact_dtw"].append(
+                round(stats.dtw_computations / n_queries, 1))
     return rows
 
 

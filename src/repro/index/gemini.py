@@ -16,6 +16,13 @@
 Because the envelope lives on the *query* side, an existing Euclidean
 feature index gains DTW support without being rebuilt — one of the
 paper's selling points.
+
+The feature index serves the two algorithms the paper measures:
+:meth:`WarpingIndex.filter_query` (steps 3-4, Figures 8-10) and the
+Seidl-Kriegel :meth:`WarpingIndex.multistep_knn`.  The query API —
+:meth:`~WarpingIndex.range_query`, :meth:`~WarpingIndex.knn_query` and
+their ``*_many`` batch forms — runs the same filter-and-refine through
+the vectorised cascade engine (:mod:`repro.engine`).
 """
 
 from __future__ import annotations
@@ -61,7 +68,9 @@ class WarpingIndex:
         Normalisation applied to database and query series.  Its
         ``length`` fixes the UTW normal-form length ``n``.
     index_kind:
-        ``"rstar"`` (default), ``"grid"``, or ``"linear"``.
+        Feature index behind :meth:`filter_query` and
+        :meth:`multistep_knn`: ``"rstar"`` (default), ``"grid"``,
+        ``"cluster"`` or ``"linear"``.
     capacity:
         Page capacity of the underlying index.
     ids:
@@ -93,10 +102,12 @@ class WarpingIndex:
         :mod:`repro.persistence`, so a saved sharded deployment comes
         back sharded.
     obs:
-        An :class:`~repro.obs.Observability` facade.  Attaches to the
-        R*-tree/grid query paths (``index.*`` metrics, ``query`` spans)
-        and propagates to every cached cascade engine (see
-        :meth:`set_observability`).  Default ``None`` = disabled.
+        An :class:`~repro.obs.Observability` facade.  Every cached
+        cascade engine reports to it (``engine.*`` metrics, ``query``
+        span trees), and :meth:`multistep_knn` folds its
+        :class:`~repro.index.stats.QueryStats` into the ``index.*``
+        metrics; see :meth:`set_observability`.  Default ``None`` =
+        disabled.
     """
 
     def __init__(
@@ -461,76 +472,18 @@ class WarpingIndex:
         )
         return candidates, stats
 
-    def range_query(
-        self, query, epsilon: float, *, second_filter: bool = True
-    ) -> tuple[list[tuple[object, float]], QueryStats]:
-        """All series with DTW distance at most *epsilon* from *query*.
-
-        Returns ``(results, stats)`` where results are ``(id, distance)``
-        pairs sorted by distance.  Theorem 1 guarantees the candidate
-        set contains every true answer, so the result is exact.
-
-        With *second_filter* (default, as in the paper's Section 5.2),
-        candidates are first screened with the full-dimension envelope
-        bound LB_Keogh — an O(n) check that is still sound (Lemma 2) —
-        and only survivors pay the O(kn) exact DTW; the stats record
-        the pruned count under ``extra["second_filter_pruned"]``.
-        """
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        started = monotonic_s()
-        q, rect_lower, rect_upper, q_envelope = self._query_rectangle(query)
-        self._index.reset_stats()
-        candidates = self._index.range_search(
-            rect_lower, rect_upper, epsilon + self._lb_slack,
-            metric=self.metric
-        )
-        stats = QueryStats(
-            candidates=len(candidates), page_accesses=self._index.page_accesses
-        )
-        results = []
-        if candidates:
-            rows = [self._id_to_row[item_id] for item_id in candidates]
-            survivors = candidates
-            if second_filter:
-                # Second filter (paper §5.2): the unreduced envelope
-                # bound, vectorised over the candidate matrix.
-                data = self._data[rows]
-                above = np.maximum(data - q_envelope.upper, 0.0)
-                below = np.maximum(q_envelope.lower - data, 0.0)
-                if self.metric == "manhattan":
-                    lb = np.sum(above + below, axis=1)
-                else:
-                    lb = np.sqrt(np.sum(above * above + below * below, axis=1))
-                keep = lb <= epsilon
-                stats.extra["second_filter_pruned"] = int(np.sum(~keep))
-                survivors = [c for c, flag in zip(candidates, keep) if flag]
-                rows = [r for r, flag in zip(rows, keep) if flag]
-            if survivors:
-                dists = ldtw_distance_batch(q, self._data[rows], self.band,
-                                            metric=self.metric,
-                                            upper_bound=epsilon,
-                                            backend=self.dtw_backend)
-                stats.dtw_computations = len(survivors)
-                results = [
-                    (item_id, float(dist))
-                    for item_id, dist in zip(survivors, dists)
-                    if dist <= epsilon
-                ]
-        results.sort(key=lambda pair: pair[1])
-        stats.results = len(results)
-        self.obs.record_index_query("range", stats, monotonic_s() - started)
-        return results, stats
-
-    def knn_query(
+    def multistep_knn(
         self, query, k: int
     ) -> tuple[list[tuple[object, float]], QueryStats]:
-        """The *k* nearest series under the constrained DTW distance.
+        """The *k* nearest series by the R*-tree multi-step algorithm.
 
         Optimal multi-step k-NN (Seidl & Kriegel 1998): candidates are
         ranked by their feature-space lower bound and refined until the
         next lower bound exceeds the current k-th exact distance — at
-        which point no unexamined series can enter the answer.
+        which point no unexamined series can enter the answer.  Same
+        answer as :meth:`knn_query`, but walked through the feature
+        index, so the stats carry the paper's page-access counts and
+        the §5.2 second-filter prunes (``extra["second_filter_pruned"]``).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -616,82 +569,53 @@ class WarpingIndex:
             )
         return self._engines[key]
 
-    def cascade_range_query(self, query, epsilon: float, *, stages=None,
-                            dtw_backend=None):
-        """Exact ε-range query through the filter cascade.
+    def range_query(self, query, epsilon: float, *, stages=None,
+                    dtw_backend=None):
+        """All series with DTW distance at most *epsilon* from *query*.
 
-        Same answer as :meth:`range_query` (both are exact), but
-        evaluated with the vectorised engine; returns ``(results,
-        CascadeStats)`` with per-stage pruning counters instead of the
-        flat :class:`~repro.index.stats.QueryStats`.
+        Evaluated by the filter-cascade engine (:meth:`engine`): every
+        stage is a lower bound, so the answer is exact.  Returns
+        ``(results, CascadeStats)`` where results are ``(id,
+        distance)`` pairs sorted by distance.  The paper's §5.2 second
+        filter is the ``"lb_keogh"`` stage, run after a feature stage
+        (``stages=("new_paa", "lb_keogh")``).
         """
         return self.engine(stages=stages, dtw_backend=dtw_backend).range_search(
             self.normal_form.apply(query), epsilon
         )
 
-    def cascade_knn_query(self, query, k: int, *, stages=None,
-                          dtw_backend=None):
-        """Exact k-NN query through the filter cascade.
+    def knn_query(self, query, k: int, *, stages=None, dtw_backend=None):
+        """The *k* nearest series under the constrained DTW distance.
 
-        Same answer as :meth:`knn_query`, evaluated with the
-        vectorised engine (best-first refinement with early-abandoning
-        DTW); returns ``(results, CascadeStats)``.
+        Evaluated by the filter-cascade engine (best-first refinement
+        with early-abandoning DTW, exact); returns ``(results,
+        CascadeStats)``.  :meth:`multistep_knn` is the tree-walking
+        algorithm the paper measures.
         """
         return self.engine(stages=stages, dtw_backend=dtw_backend).knn(
             self.normal_form.apply(query), k
         )
 
-    def cascade_range_query_many(self, queries, epsilon: float, *,
-                                 stages=None, dtw_backend=None,
-                                 workers=None):
+    def range_query_many(self, queries, epsilon: float, *, stages=None,
+                         dtw_backend=None, workers=None):
         """A batch of ε-range queries served in parallel by the engine.
 
         Shards the queries across a thread pool sharing this index's
         corpus matrices (see
         :meth:`repro.engine.QueryEngine.range_search_many`); returns
         ``(per_query_results, merged CascadeStats)`` in query order,
-        identical to sequential :meth:`cascade_range_query` calls.
+        identical to sequential :meth:`range_query` calls.
         """
         engine = self.engine(stages=stages, dtw_backend=dtw_backend)
         normalised = [self.normal_form.apply(query) for query in queries]
         return engine.range_search_many(normalised, epsilon, workers=workers)
 
-    def cascade_knn_query_many(self, queries, k: int, *, stages=None,
-                               dtw_backend=None, workers=None):
+    def knn_query_many(self, queries, k: int, *, stages=None,
+                       dtw_backend=None, workers=None):
         """A batch of k-NN queries served in parallel by the engine."""
         engine = self.engine(stages=stages, dtw_backend=dtw_backend)
         normalised = [self.normal_form.apply(query) for query in queries]
         return engine.knn_many(normalised, k, workers=workers)
-
-    def range_query_many(
-        self, queries, epsilon: float, *, second_filter: bool = True
-    ) -> tuple[list[list[tuple[object, float]]], QueryStats]:
-        """Run a batch of range queries; stats are aggregated.
-
-        Returns ``(per_query_results, total_stats)`` — the workload
-        form every benchmark uses, packaged as API.
-        """
-        all_results = []
-        total = QueryStats()
-        for query in queries:
-            results, stats = self.range_query(
-                query, epsilon, second_filter=second_filter
-            )
-            all_results.append(results)
-            total = total + stats
-        return all_results, total
-
-    def knn_query_many(
-        self, queries, k: int
-    ) -> tuple[list[list[tuple[object, float]]], QueryStats]:
-        """Run a batch of k-NN queries; stats are aggregated."""
-        all_results = []
-        total = QueryStats()
-        for query in queries:
-            results, stats = self.knn_query(query, k)
-            all_results.append(results)
-            total = total + stats
-        return all_results, total
 
     def explain(self, query, item_id) -> dict:
         """The full bound cascade for one query/candidate pair.

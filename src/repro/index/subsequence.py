@@ -80,9 +80,9 @@ class SubsequenceIndex:
     normal_form:
         Normalisation applied to windows and queries.
     dtw_backend:
-        DTW kernel backend used for exact refinement (default the
-        registry default, ``"scalar"`` reference; results are
-        identical).
+        DTW kernel backend used for exact refinement (default
+        ``DEFAULT_BACKEND``: ``"compiled"`` where it builds, else
+        ``"vectorized"``; results are identical).
     obs:
         An :class:`~repro.obs.Observability` facade for the window
         query paths (``index.*`` metrics).  Default ``None`` =

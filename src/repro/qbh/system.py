@@ -46,15 +46,15 @@ class QueryByHummingSystem:
     n_features:
         Reduced dimensionality of the index.
     index_kind:
-        ``"rstar"``, ``"grid"``, or ``"linear"``.
+        ``"rstar"``, ``"grid"``, ``"cluster"`` or ``"linear"``.
     samples_per_beat:
         Sampling of the melody time series.
     env_transform:
         Optional custom envelope transform (defaults to New_PAA).
     dtw_backend:
-        DTW kernel backend for exact refinement (default the registry
-        default, ``"scalar"`` reference) — a serving knob, results
-        are identical.
+        DTW kernel backend for exact refinement (default
+        ``DEFAULT_BACKEND``: ``"compiled"`` where it builds, else
+        ``"vectorized"``) — a serving knob, results are identical.
     obs:
         An :class:`~repro.obs.Observability` facade, passed through to
         the underlying :class:`~repro.index.gemini.WarpingIndex` (and
@@ -135,12 +135,12 @@ class QueryByHummingSystem:
         rather than the same tune at several tied ranks.
         """
         if not collapse_duplicates:
-            hits, stats = self.index.knn_query(pitch_series, k)
+            hits, stats = self.index.multistep_knn(pitch_series, k)
             return [(self.names[idx], dist) for idx, dist in hits], stats
         # Over-fetch, then keep the best representative per duplicate
         # group until k distinct tunes are collected.
         fetch = min(len(self), k * 4)
-        hits, stats = self.index.knn_query(pitch_series, fetch)
+        hits, stats = self.index.multistep_knn(pitch_series, fetch)
         group_of = self._duplicate_groups()
         results: list[tuple[str, float]] = []
         seen_groups: set[int] = set()
@@ -169,8 +169,9 @@ class QueryByHummingSystem:
         self, pitch_series, epsilon: float
     ) -> tuple[list[tuple[str, float]], QueryStats]:
         """All melodies within DTW distance *epsilon* of the hum."""
-        hits, stats = self.index.range_query(pitch_series, epsilon)
-        return [(self.names[idx], dist) for idx, dist in hits], stats
+        hits, cascade = self.index.range_query(pitch_series, epsilon)
+        return ([(self.names[idx], dist) for idx, dist in hits],
+                cascade.as_query_stats())
 
     def query_cascade(self, pitch_series, k: int = 10, *, stages=None,
                       dtw_backend=None):
@@ -184,7 +185,7 @@ class QueryByHummingSystem:
         show where candidates were pruned (``repro query --stats``
         prints it).
         """
-        hits, stats = self.index.cascade_knn_query(
+        hits, stats = self.index.knn_query(
             pitch_series, k, stages=stages, dtw_backend=dtw_backend
         )
         return [(self.names[idx], dist) for idx, dist in hits], stats
@@ -203,7 +204,7 @@ class QueryByHummingSystem:
         for hum ``i`` and *merged_stats* aggregates the cascade
         counters over the whole batch.
         """
-        per_query, stats = self.index.cascade_knn_query_many(
+        per_query, stats = self.index.knn_query_many(
             pitch_series_batch, k, stages=stages,
             dtw_backend=dtw_backend, workers=workers,
         )

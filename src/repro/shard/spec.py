@@ -53,8 +53,6 @@ class EngineSpec:
     ids: tuple = ()
     metric: str = "euclidean"
     dtw_backend: str | None = None
-    batch_refine_threshold: int = 64
-    refine_chunk: int | None = None
 
     def build(self) -> QueryEngine:
         """Construct this shard's engine over the mapped corpus block."""
@@ -69,11 +67,9 @@ class EngineSpec:
             n_features=self.n_features,
             ids=list(self.ids),
             metric=self.metric,
-            batch_refine_threshold=self.batch_refine_threshold,
             # The parent validated the name against its own registry;
             # a worker whose compiled kernel failed to load falls back.
             dtw_backend=resolve_backend(self.dtw_backend),
-            refine_chunk=self.refine_chunk,
             # One thread per worker: the shard pool itself is the
             # parallelism, and in-worker threads would only fight the
             # worker's own GIL.

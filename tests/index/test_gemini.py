@@ -88,7 +88,7 @@ class TestRangeQuery:
             truth = idx.ground_truth_range(query, eps)
             assert [i for i, _ in results] == [i for i, _ in truth]
             assert stats.results == len(truth)
-            assert stats.candidates >= len(truth)  # no false negatives
+            assert stats.exact_candidates >= len(truth)  # no false negatives
 
     def test_self_query_returns_self_first(self, built_index, walks):
         results, _ = built_index.range_query(walks[7], 1e-9)
@@ -101,25 +101,25 @@ class TestRangeQuery:
 
     def test_stats_counters_consistent(self, built_index, query):
         results, stats = built_index.range_query(query, 8.0)
-        pruned = stats.extra.get("second_filter_pruned", 0)
-        assert stats.dtw_computations + pruned == stats.candidates
-        assert stats.results == len(results)
-        assert 0.0 <= stats.precision <= 1.0
+        assert stats.corpus_size == len(built_index)
+        assert stats.pruned_total + stats.exact_candidates == stats.corpus_size
+        assert stats.dtw_computations == stats.exact_candidates
+        assert stats.results == len(results) <= stats.exact_candidates
 
     def test_rejects_negative_epsilon(self, built_index, query):
         with pytest.raises(ValueError, match="epsilon"):
             built_index.range_query(query, -1.0)
 
     def test_tighter_transform_fewer_candidates(self, walks, query):
-        """New_PAA (default) should retrieve no more candidates than
-        Keogh_PAA at the same query."""
+        """New_PAA (default) should retrieve no more index candidates
+        than Keogh_PAA at the same query."""
         kwargs = dict(delta=0.1, normal_form=NormalForm(length=64), capacity=16)
         new = WarpingIndex(walks, **kwargs)
         keogh = WarpingIndex(
             walks, env_transform=KeoghPAAEnvelopeTransform(64, 8), **kwargs
         )
-        _, stats_new = new.range_query(query, 8.0)
-        _, stats_keogh = keogh.range_query(query, 8.0)
+        _, stats_new = new.filter_query(query, 8.0)
+        _, stats_keogh = keogh.filter_query(query, 8.0)
         assert stats_new.candidates <= stats_keogh.candidates
 
     def test_dft_backend_also_exact(self, walks, query):
@@ -140,8 +140,8 @@ class TestBatchQueries:
         batch_results, total = built_index.range_query_many(queries, 6.0)
         singles = [built_index.range_query(q, 6.0) for q in queries]
         assert batch_results == [r for r, _ in singles]
-        assert total.candidates == sum(s.candidates for _, s in singles)
-        assert total.page_accesses == sum(s.page_accesses for _, s in singles)
+        assert total.exact_candidates == sum(
+            s.exact_candidates for _, s in singles)
 
     def test_knn_query_many_matches_singles(self, built_index):
         rng = np.random.default_rng(8)
@@ -159,7 +159,7 @@ class TestKnnQuery:
         truth = built_index.ground_truth_knn(query, 10)
         assert len(got) == 10
         assert np.allclose([d for _, d in got], [d for _, d in truth])
-        assert stats.candidates <= len(built_index)
+        assert stats.exact_candidates <= len(built_index)
 
     def test_k_one(self, built_index, walks):
         got, _ = built_index.knn_query(walks[33], 1)
@@ -177,5 +177,26 @@ class TestKnnQuery:
 
     def test_multistep_prunes(self, built_index, query):
         """The optimal multi-step algorithm must not refine everything."""
-        _, stats = built_index.knn_query(query, 5)
+        _, stats = built_index.multistep_knn(query, 5)
         assert stats.dtw_computations < len(built_index)
+
+
+class TestEveryKindAndMetric:
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("kind", ["rstar", "grid", "linear", "cluster"])
+    def test_queries_match_ground_truth(self, walks, query, kind, metric):
+        idx = WarpingIndex(
+            walks, delta=0.1, normal_form=NormalForm(length=64),
+            index_kind=kind, metric=metric, capacity=16,
+        )
+        for eps in (5.0, 20.0):
+            results, _ = idx.range_query(query, eps)
+            truth = idx.ground_truth_range(query, eps)
+            assert [i for i, _ in results] == [i for i, _ in truth]
+            assert np.allclose([d for _, d in results],
+                               [d for _, d in truth])
+        truth = [d for _, d in idx.ground_truth_knn(query, 7)]
+        engine, _ = idx.knn_query(query, 7)
+        tree, _ = idx.multistep_knn(query, 7)
+        assert np.allclose([d for _, d in engine], truth)
+        assert np.allclose([d for _, d in tree], truth)

@@ -125,8 +125,7 @@ class TestL1WarpingIndex:
 
     def test_second_filter_consistent_l1(self, l1_index):
         query = random_walks(1, 96, seed=84)[0]
-        with_filter, s_on = l1_index.range_query(query, 25.0,
-                                                 second_filter=True)
-        without, s_off = l1_index.range_query(query, 25.0,
-                                              second_filter=False)
+        with_filter, _ = l1_index.range_query(
+            query, 25.0, stages=("new_paa", "lb_keogh"))
+        without, _ = l1_index.range_query(query, 25.0, stages=("new_paa",))
         assert with_filter == without

@@ -58,7 +58,7 @@ def test_three_swaps_byte_identical_cache_invalidated_once(tmp_path):
                 assert outcome.ok and not outcome.from_cache, (
                     "the swap must invalidate cached answers"
                 )
-                expected, _ = reference.cascade_knn_query(hum, 3)
+                expected, _ = reference.knn_query(hum, 3)
                 assert outcome.results == tuple(
                     (item, float(dist)) for item, dist in expected
                 )

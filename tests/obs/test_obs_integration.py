@@ -189,6 +189,13 @@ class TestFacadeWiring:
         results, stats = index.knn_query(corpus[3], k=2)
         assert results
         m = obs.metrics
+        assert m.counter("engine.queries_total", kind="knn").value == 1
+        assert (m.counter("engine.candidates_refined_total").value
+                == stats.dtw_computations)
+        assert m.histogram("engine.query_seconds", kind="knn").count == 1
+
+        results, stats = index.multistep_knn(corpus[3], k=2)
+        assert results
         assert m.counter("index.queries_total", kind="knn").value == 1
         assert (m.counter("index.dtw_computations_total").value
                 == stats.dtw_computations)

@@ -102,19 +102,6 @@ def test_epsilon_sweep_never_loses_results(corpus, query):
         assert got == truth, f"mismatch at epsilon={epsilon}"
 
 
-def test_batch_and_scalar_refine_paths_agree(corpus, query):
-    """The two exact-stage code paths return identical result sets."""
-    batch = QueryEngine(corpus, band=BAND, batch_refine_threshold=1)
-    scalar = QueryEngine(corpus, band=BAND,
-                         batch_refine_threshold=10**9)
-    r_batch, _ = batch.range_search(query, epsilon=7.0)
-    r_scalar, _ = scalar.range_search(query, epsilon=7.0)
-    assert [i for i, _ in r_batch] == [i for i, _ in r_scalar]
-    np.testing.assert_allclose(
-        [d for _, d in r_batch], [d for _, d in r_scalar], atol=1e-9
-    )
-
-
 def test_stats_tell_a_consistent_story(corpus, query):
     engine = QueryEngine(corpus, band=BAND, stages=STAGE_ORDER)
     _, stats = engine.range_search(query, epsilon=5.0)

@@ -82,9 +82,8 @@ def test_engine_over_f32_corpus_is_bitwise_exact(pair, queries):
 def test_range_zero_false_negatives_vs_f64(pair, queries):
     for query in queries:
         for epsilon in (10.0, 18.0, 30.0):
-            exact, _ = pair[0].cascade_range_query(query, epsilon)
-            stored, _ = pair[1].cascade_range_query(query,
-                                                    epsilon + DIST_TOL)
+            exact, _ = pair[0].range_query(query, epsilon)
+            stored, _ = pair[1].range_query(query, epsilon + DIST_TOL)
             missing = ({item for item, _ in exact}
                        - {item for item, _ in stored})
             assert not missing, (
@@ -95,8 +94,8 @@ def test_range_zero_false_negatives_vs_f64(pair, queries):
 
 def test_knn_matches_f64_within_float32_resolution(pair, queries):
     for query in queries:
-        exact, _ = pair[0].cascade_knn_query(query, 5)
-        stored, _ = pair[1].cascade_knn_query(query, 5)
+        exact, _ = pair[0].knn_query(query, 5)
+        stored, _ = pair[1].knn_query(query, 5)
         assert [item for item, _ in exact] == [item for item, _ in stored]
         drift = max(abs(a[1] - b[1]) for a, b in zip(exact, stored))
         assert drift < DIST_TOL
@@ -106,11 +105,11 @@ def test_tree_query_paths_stay_exact_on_store(pair, queries):
     """R*-tree filter answers (slackened by the margin) lose nothing."""
     _, f32 = pair
     for query in queries:
-        tree, _ = f32.range_query(query, 18.0)
-        cascade, _ = f32.cascade_range_query(query, 18.0)
-        assert {item for item, _ in tree} == {item for item, _ in cascade}
-        tree_knn, _ = f32.knn_query(query, 5)
-        cascade_knn, _ = f32.cascade_knn_query(query, 5)
+        candidates, _ = f32.filter_query(query, 18.0)
+        cascade, _ = f32.range_query(query, 18.0)
+        assert {item for item, _ in cascade} <= set(candidates)
+        tree_knn, _ = f32.multistep_knn(query, 5)
+        cascade_knn, _ = f32.knn_query(query, 5)
         assert ([item for item, _ in tree_knn]
                 == [item for item, _ in cascade_knn])
 

@@ -219,7 +219,7 @@ class TestFromIndex:
     def test_from_index_normalises_like_cascade_query(self, corpus):
         index = WarpingIndex(list(corpus[:30]), delta=0.1)
         query = corpus[2] + 0.3
-        direct, _ = index.cascade_knn_query(query, 3)
+        direct, _ = index.knn_query(query, 3)
         service = QBHService.from_index(index, linger_ms=0.0)
         try:
             outcome = service.knn(query, 3)

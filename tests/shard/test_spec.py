@@ -43,7 +43,7 @@ def _spec(path, data, **overrides):
 class TestPickling:
     def test_round_trips_through_pickle(self, corpus_file):
         path, data = corpus_file
-        spec = _spec(path, data, dtw_backend="scalar", refine_chunk=7)
+        spec = _spec(path, data, dtw_backend="scalar", metric="manhattan")
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
@@ -64,7 +64,8 @@ class TestPickling:
         path, data = corpus_file
         spec = _spec(path, data)
         assert spec.stages == DEFAULT_STAGES
-        assert spec.batch_refine_threshold == 64
+        direct = QueryEngine(data[5:20], band=4)
+        assert spec.build().refine_chunk == direct.refine_chunk
 
 
 class TestBuild:

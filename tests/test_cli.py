@@ -23,6 +23,28 @@ class TestParser:
             )
 
 
+    @pytest.mark.parametrize("command", [
+        ["query", "--index", "i.npz", "--hum", "h.npy"],
+        ["query", "--index", "i.npz", "--hum", "h.npy", "--stats"],
+        ["serve", "--index", "i.npz", "--hum", "h.npy"],
+        ["bench-serve"],
+        ["quality"],
+    ])
+    @pytest.mark.parametrize("k", ["0", "-3", "two"])
+    def test_k_must_be_a_positive_int(self, command, k, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["-k", k])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument -k" in err
+        assert "Traceback" not in err
+
+    def test_k_accepts_positive_int(self):
+        args = build_parser().parse_args(
+            ["query", "--index", "i.npz", "--hum", "h.npy", "-k", "3"])
+        assert args.k == 3
+
+
 class TestLifecycle:
     def test_corpus_index_hum_query(self, tmp_path, capsys):
         corpus_dir = str(tmp_path / "corpus")

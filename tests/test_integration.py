@@ -147,8 +147,8 @@ class TestIndexGuarantees:
             walks, env_transform=KeoghPAAEnvelopeTransform(64, 8), **kwargs
         )
         for q in queries:
-            _, s_new = idx_new.range_query(q, 5.0)
-            _, s_keogh = idx_keogh.range_query(q, 5.0)
+            _, s_new = idx_new.filter_query(q, 5.0)
+            _, s_keogh = idx_keogh.filter_query(q, 5.0)
             new_total += s_new.candidates
             keogh_total += s_keogh.candidates
         assert new_total <= keogh_total

@@ -169,13 +169,13 @@ class TestEngineInvariances:
             assert np.allclose([d for _, d in base],
                                [d for _, d in got])
 
-    def test_cascade_range_query_is_shift_invariant(self, melodies, hum):
+    def test_range_query_is_shift_invariant(self, melodies, hum):
         index = WarpingIndex(
             [m.to_time_series(8) for m in melodies], delta=0.1,
             normal_form=NormalForm(length=64, shift=True),
         )
-        a, _ = index.cascade_range_query(hum, 6.0)
-        b, _ = index.cascade_range_query(hum + 7.0, 6.0)
+        a, _ = index.range_query(hum, 6.0)
+        b, _ = index.range_query(hum + 7.0, 6.0)
         assert [i for i, _ in a] == [i for i, _ in b]
         assert np.allclose([d for _, d in a], [d for _, d in b])
 

@@ -79,10 +79,13 @@ def test_random_configuration_is_exact(trial):
         results, stats = index.range_query(query, epsilon)
         truth = index.ground_truth_range(query, epsilon)
         assert [i for i, _ in results] == [i for i, _ in truth], config
-        assert stats.candidates >= stats.results
+        assert stats.exact_candidates >= stats.results
+        candidates, _ = index.filter_query(query, epsilon)
+        assert {i for i, _ in truth} <= set(candidates), config
 
-        knn, _ = index.knn_query(query, 5)
         knn_truth = index.ground_truth_knn(query, 5)
-        assert np.allclose(
-            [d for _, d in knn], [d for _, d in knn_truth]
-        ), config
+        for knn, _ in (index.knn_query(query, 5),
+                       index.multistep_knn(query, 5)):
+            assert np.allclose(
+                [d for _, d in knn], [d for _, d in knn_truth]
+            ), config
